@@ -42,6 +42,8 @@ CHECKPOINT_DIR_ENV = "SCHURQUOT_CHECKPOINT_DIR"
 
 MAX_CELLS_DEFAULT = 12
 MAX_NVARS_DEFAULT = 8
+MAX_SEEDS = 32
+MAX_SEARCH_DIM = 10
 
 
 class UsageError(Exception):
@@ -94,13 +96,28 @@ def emit(report: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
+# Every size parameter, as (attribute, flag, lowest, highest).
+SIZE_LIMITS = (
+    ("nvars", "--nvars", 1, MAX_NVARS_DEFAULT),
+    ("max_cells", "--max-cells", 1, MAX_CELLS_DEFAULT),
+    ("max_boxes", "--max-boxes", 1, MAX_CELLS_DEFAULT),
+    ("max_nvars", "--max-nvars", 2, MAX_NVARS_DEFAULT),
+    ("max_labels", "--max-labels", 1, MAX_NVARS_DEFAULT),
+    ("seeds", "--seeds", 1, MAX_SEEDS),
+    ("dim", "--dim", 2, MAX_SEARCH_DIM),
+)
+
+
 def _check_limits(args) -> None:
-    nvars = getattr(args, "nvars", None)
-    if nvars is not None and not (1 <= nvars <= MAX_NVARS_DEFAULT):
-        raise UsageError(f"--nvars must be in 1..{MAX_NVARS_DEFAULT}")
-    max_cells = getattr(args, "max_cells", None)
-    if max_cells is not None and not (1 <= max_cells <= MAX_CELLS_DEFAULT):
-        raise UsageError(f"--max-cells must be in 1..{MAX_CELLS_DEFAULT}")
+    for attr, flag, lowest, highest in SIZE_LIMITS:
+        value = getattr(args, attr, None)
+        if value is not None and not (lowest <= value <= highest):
+            raise UsageError(f"{flag} must be in {lowest}..{highest}")
+    if getattr(args, "dim", 0) % 2:
+        raise UsageError("--dim must be even")
+    point = getattr(args, "point", None)
+    if point is not None and not (1 <= len(parse_point(point)) <= MAX_NVARS_DEFAULT):
+        raise UsageError(f"--point must have 1..{MAX_NVARS_DEFAULT} coordinates")
 
 
 # -- schur ------------------------------------------------------------
@@ -397,17 +414,12 @@ def cmd_bound_su2(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be positive")
     checkpoint = args.checkpoint
     if checkpoint is None and os.environ.get(CHECKPOINT_DIR_ENV):
         checkpoint = os.path.join(
             os.environ[CHECKPOINT_DIR_ENV], f"search-dim{args.dim}.json"
         )
-    try:
-        report = coincidence_search(args.dim, checkpoint=checkpoint)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = coincidence_search(args.dim, checkpoint=checkpoint)
     payload = report.to_dict()
     lines = [
         f"dimension: {report.dimension}",
@@ -475,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = deriv_sub.add_parser("sweep", help="sign check over all contained pairs")
     p.add_argument("--max-boxes", type=int, default=5)
     p.add_argument("--max-nvars", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_deriv_sweep)
 
@@ -504,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-labels", type=int, default=4)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--compare-greedy", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_inject_verify)
 
@@ -537,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="coincidence search between the families")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--jobs", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

@@ -16,7 +16,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise ValueError(f"parts must be integers: {parts}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")

@@ -1,15 +1,15 @@
 """Schur and skew Schur polynomials.
 
 Two independent routes are provided: the combinatorial sum over tableaux
-(the definition) and the ratio-of-alternants determinant, which doubles as
-an evaluation oracle and, in its confluent form, as a fast exact evaluator
-for points with repeated coordinates.
+(the definition, kept as the reference) and the ratio of alternants.  Every
+Schur value is evaluated along the second route, as confluent alternants
+that stay exact at points with repeated coordinates, computed by one
+fraction-free integer determinant routine.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,18 +47,16 @@ def weyl_dimension(lam: Partition, nvars: int) -> int:
 
 
 class SchurContext:
-    """Memo cache for skew Schur polynomials, safe for concurrent use."""
+    """Memo cache for skew Schur polynomials."""
 
     def __init__(self):
         self._cache: dict[tuple[SkewShape, int], SparsePolynomial] = {}
-        self._lock = threading.Lock()
 
     def schur_poly(self, shape: SkewShape | Partition, nvars: int) -> SparsePolynomial:
         if isinstance(shape, Partition):
             shape = SkewShape.straight(shape)
         key = (shape, nvars)
-        with self._lock:
-            cached = self._cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         terms: dict[tuple[int, ...], int] = {}
@@ -66,33 +64,15 @@ class SchurContext:
             exps = monomial(t)
             terms[exps] = terms.get(exps, 0) + 1
         poly = SparsePolynomial(nvars, terms)
-        with self._lock:
-            self._cache[key] = poly
+        self._cache[key] = poly
         return poly
 
-    def eval_schur(
-        self,
-        lam: Partition,
-        point: Sequence[Fraction | int],
-        term_budget: int = 10**6,
-    ) -> Fraction:
+    def eval_schur(self, lam: Partition, point: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation of a straight-shape Schur polynomial.
 
-        Uses the expanded polynomial while the tableau count stays within
-        `term_budget`, otherwise the confluent determinant route, which
-        copes with repeated coordinates without any perturbation.
+        Goes through the confluent bialternant, which copes with repeated
+        coordinates without any perturbation.
         """
-        nvars = len(point)
-        if lam.nrows > nvars:
-            return Fraction(0)
-        if lam == staircase(nvars):
-            total = Fraction(1)
-            for i in range(nvars):
-                for j in range(i + 1, nvars):
-                    total *= Fraction(point[i]) + Fraction(point[j])
-            return total
-        if weyl_dimension(lam, nvars) <= term_budget:
-            return self.schur_poly(lam, nvars).evaluate(point)
         return schur_confluent(lam, point)
 
 
@@ -107,27 +87,77 @@ def schur_poly(shape: SkewShape | Partition, nvars: int, ctx: SchurContext | Non
     return (ctx or _DEFAULT_CONTEXT).schur_poly(shape, nvars)
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+def int_dets(m: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) elimination of an n x (n-1+k) integer matrix.
+
+    Returns the k determinants det(A | c_j), where A is the first n-1
+    columns and c_j is column n-1+j; a square matrix gives [det].  All k
+    determinants share the elimination of A.  Destroys m.
+    """
+    n = len(m)
+    if n == 0:
+        return [1]
+    width = len(m[0])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return [0] * (width - n + 1)
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            factor = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
+    return [sign * x for x in m[n - 1][n - 1 :]]
+
+
+def confluent_rows(point: Sequence[int], exps: Sequence[int]) -> list[list[int]]:
+    """Rows of the confluent alternant of x -> x^e, e in exps, at point.
+
+    Equal coordinates are grouped in order of first appearance.  The k-th
+    repeat of a value v contributes the k-th derivative divided by k!, the
+    row C(e, k) v^(e-k); on distinct coordinates these are the plain rows
+    v^e.
+    """
+    mults: dict[int, int] = {}
+    for v in point:
+        mults[v] = mults.get(v, 0) + 1
+    rows = []
+    for v, mult in mults.items():
+        rows.append([v**e for e in exps])
+        for k in range(1, mult):
+            rows.append([math.comb(e, k) * v ** (e - k) if e >= k else 0 for e in exps])
+    return rows
+
+
+def schur_confluent(lam: Partition, point: Sequence[Fraction | int]) -> Fraction:
+    """Exact bialternant evaluation, also at points with repeated coordinates.
+
+    Both alternants are confluent, so their ratio is the limit of the
+    generic ratio and equals the Schur value.  Denominators are cleared
+    first: with L the lcm of the coordinate denominators,
+    s_lam(x) = a_{lam+delta}(Lx) / (a_delta(Lx) L^|lam|) by homogeneity,
+    and both alternants are integer determinants.
+    """
+    nvars = len(point)
+    if lam.nrows > nvars:
+        return Fraction(0)
+    point = [Fraction(x) for x in point]
+    scale = math.lcm(*(x.denominator for x in point))
+    ints = [x.numerator * (scale // x.denominator) for x in point]
+    delta = range(nvars - 1, -1, -1)
+    [num] = int_dets(confluent_rows(ints, [p + d for p, d in zip(lam.padded(nvars), delta)]))
+    [den] = int_dets(confluent_rows(ints, delta))
+    return Fraction(num, den * scale**lam.size)
 
 
 def schur_bialternant(lam: Partition, point: Sequence[Fraction | int]) -> Fraction:
@@ -136,48 +166,9 @@ def schur_bialternant(lam: Partition, point: Sequence[Fraction | int]) -> Fracti
     Requires pairwise-distinct coordinates; the denominator is the
     Vandermonde determinant and vanishes on ties.
     """
-    nvars = len(point)
-    point = [Fraction(x) for x in point]
-    if len(set(point)) != nvars:
-        raise DegeneratePointError(f"repeated coordinate in {point}")
-    if lam.nrows > nvars:
-        return Fraction(0)
-    parts = lam.padded(nvars)
-    exps = [parts[j] + nvars - 1 - j for j in range(nvars)]
-    num = _det([[x**e for e in exps] for x in point])
-    den = _det([[x ** (nvars - 1 - j) for j in range(nvars)] for x in point])
-    return num / den
-
-
-def schur_confluent(lam: Partition, point: Sequence[Fraction | int]) -> Fraction:
-    """Bialternant evaluation that groups equal coordinates.
-
-    A value repeated m times contributes m determinant rows, the k-th being
-    the k-th derivative of x -> x^e divided by k!.  Both alternants are
-    transformed the same way, so their ratio is the limit of the generic
-    ratio and equals the Schur value exactly.
-    """
-    nvars = len(point)
-    if lam.nrows > nvars:
-        return Fraction(0)
-    parts = lam.padded(nvars)
-    groups: dict[Fraction, int] = {}
-    for x in point:
-        x = Fraction(x)
-        groups[x] = groups.get(x, 0) + 1
-
-    def confluent_det(exps: list[int]) -> Fraction:
-        rows = []
-        for v, mult in groups.items():
-            for k in range(mult):
-                rows.append([Fraction(math.comb(e, k)) * v ** (e - k) if e >= k else Fraction(0) for e in exps])
-        return _det(rows)
-
-    num_exps = [parts[j] + nvars - 1 - j for j in range(nvars)]
-    den_exps = [nvars - 1 - j for j in range(nvars)]
-    den = confluent_det(den_exps)
-    assert den != 0
-    return confluent_det(num_exps) / den
+    if len(set(map(Fraction, point))) != len(point):
+        raise DegeneratePointError(f"repeated coordinate in {list(point)}")
+    return schur_confluent(lam, point)
 
 
 def horizontal_strips(rho: Partition, d: int) -> list[Partition]:

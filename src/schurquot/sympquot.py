@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Iterator, Sequence
 
 from .partitions import Partition
-from .schur import SchurContext, default_context
+from .schur import SchurContext, confluent_rows, default_context, int_dets
 
 EXCEPTIONAL_SU2 = {(1,), (2,), (3,), (4,), (1, 1)}
 # Values and quotient dimensions known for the excluded low-dimensional
@@ -44,8 +44,9 @@ class CircleWeights:
     @classmethod
     def from_abs(cls, alphas: Sequence[int]) -> "CircleWeights":
         """Canonical signed vector for a multiset of absolute weights."""
-        alphas = sorted(alphas)
-        signed = list(alphas)
+        signed = sorted(alphas)
+        if len(signed) < 2:
+            raise ValueError("need at least two absolute weights")
         signed[1] = -signed[1]
         return cls(tuple(signed))
 
@@ -135,15 +136,11 @@ def s1_shapes(n: int) -> tuple[Partition, Partition]:
     return num, den
 
 
-def gamma0_s1(
-    w: CircleWeights, ctx: SchurContext | None = None, term_budget: int = 10**6
-) -> Gamma0Value:
+def gamma0_s1(w: CircleWeights, ctx: SchurContext | None = None) -> Gamma0Value:
     ctx = ctx or default_context()
     alphas = w.abs_weights
     num_shape, den_shape = s1_shapes(w.n)
-    value = ctx.eval_schur(num_shape, alphas, term_budget) / ctx.eval_schur(
-        den_shape, alphas, term_budget
-    )
+    value = ctx.eval_schur(num_shape, alphas) / ctx.eval_schur(den_shape, alphas)
     return Gamma0Value(value, "formula", "S1", w.quotient_dimension)
 
 
@@ -159,9 +156,7 @@ def su2_shapes(c: int) -> tuple[Partition, Partition, Partition]:
     return rho_hat, rho_hat_prime, delta
 
 
-def gamma0_su2(
-    rep: SU2Rep, ctx: SchurContext | None = None, term_budget: int = 10**6
-) -> Gamma0Value:
+def gamma0_su2(rep: SU2Rep, ctx: SchurContext | None = None) -> Gamma0Value:
     if rep.is_exceptional:
         try:
             value = SU2_OVERRIDES[rep.key]
@@ -177,8 +172,8 @@ def gamma0_su2(
     value = (
         8
         * rep.sigma
-        * (ctx.eval_schur(rho_hat, a, term_budget) + ctx.eval_schur(rho_hat_prime, a, term_budget))
-        / ctx.eval_schur(delta, a, term_budget)
+        * (ctx.eval_schur(rho_hat, a) + ctx.eval_schur(rho_hat_prime, a))
+        / ctx.eval_schur(delta, a)
     )
     return Gamma0Value(value, "formula", "SU2", rep.quotient_dimension)
 
@@ -260,31 +255,6 @@ def su2_reps_for_dimension(m: int) -> list[SU2Rep]:
     return sorted(reps, key=lambda r: r.key)
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix; destroys m."""
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
 @dataclass
 class SearchReport:
     dimension: int
@@ -312,7 +282,6 @@ def coincidence_search(
     dimension: int,
     ctx: SchurContext | None = None,
     checkpoint: str | None = None,
-    term_budget: int = 10**6,
 ) -> SearchReport:
     """All circle weight vectors whose coefficient equals some SU(2) value
     of the same quotient dimension.
@@ -325,7 +294,7 @@ def coincidence_search(
     if dimension < 2 or dimension % 2:
         raise ValueError("dimension must be an even integer >= 2")
     ctx = ctx or default_context()
-    table = [(rep, gamma0_su2(rep, ctx, term_budget).value) for rep in su2_reps_for_dimension(dimension)]
+    table = [(rep, gamma0_su2(rep, ctx).value) for rep in su2_reps_for_dimension(dimension)]
     report = SearchReport(dimension, table, [])
     if not table:
         return report
@@ -336,31 +305,14 @@ def coincidence_search(
     cap = int(1 / vmin)
 
     p_min, q_min = vmin.numerator, vmin.denominator
-    # Hot loop: the ratio as two confluent bialternants over integers.
-    # Their exponent lists agree except in the leading column (2n-3 for the
-    # numerator shape, 2n-2 for the staircase), so rows are built once.
-    exps_shared = [2 * (n - 1 - j) for j in range(1, n)]
-    e_num, e_den = 2 * n - 3, 2 * n - 2
+    # Hot loop: the ratio as two confluent alternants over the integers.
+    # Their exponent lists differ only in one column (2n-3 for the numerator
+    # shape, 2n-2 for the staircase), so one elimination yields both; the
+    # Vandermonde factor of the bialternant cancels in the ratio.
+    exps = [2 * (n - 1 - j) for j in range(1, n)] + [2 * n - 3, 2 * n - 2]
 
     def gamma_raw(point: Sequence[int]) -> tuple[int, int]:
-        num_rows: list[list[int]] = []
-        den_rows: list[list[int]] = []
-        i = 0
-        while i < n:
-            v = point[i]
-            mult = 1
-            while i + mult < n and point[i + mult] == v:
-                mult += 1
-            tail = [v**e for e in exps_shared]
-            num_rows.append([v**e_num] + tail)
-            den_rows.append([v**e_den] + list(tail))
-            for k in range(1, mult):
-                tail = [comb(e, k) * v ** (e - k) if e >= k else 0 for e in exps_shared]
-                num_rows.append([comb(e_num, k) * v ** (e_num - k)] + tail)
-                den_rows.append([comb(e_den, k) * v ** (e_den - k)] + list(tail))
-            i += mult
-        num = _int_det(num_rows)
-        den = _int_det(den_rows)
+        num, den = int_dets(confluent_rows(point, exps))
         if den < 0:
             num, den = -num, -den
         return num, den

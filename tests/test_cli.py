@@ -191,6 +191,37 @@ def test_nvars_limit_enforced(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--dim", "100"),
+        ("search", "--dim", "12"),
+        ("search", "--dim", "0"),
+        ("search", "--dim", "3"),
+        ("deriv", "sweep", "--max-boxes", "13"),
+        ("deriv", "sweep", "--max-boxes", "0"),
+        ("deriv", "sweep", "--max-nvars", "9"),
+        ("deriv", "sweep", "--max-nvars", "1"),
+        ("inject", "verify", "--max-labels", "9"),
+        ("inject", "verify", "--max-labels", "0"),
+        ("inject", "verify", "--seeds", "0"),
+        ("inject", "verify", "--seeds", "33"),
+        ("schur", "eval", "--outer", "1", "--point", ""),
+        ("schur", "eval", "--outer", "1", "--point", "1,2,3,4,5,6,7,8,9"),
+    ],
+)
+def test_size_limits_enforced(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err
+
+
+def test_jobs_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--dim", "2", "--jobs", "7"])
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

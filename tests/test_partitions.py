@@ -19,6 +19,8 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(ValueError):
+        Partition((2.5, 1))  # not silently truncated to (2, 1)
 
 
 def test_trailing_zeros_ignored_by_equality_and_hash():

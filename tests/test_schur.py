@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from schurquot.partitions import Partition, SkewShape
+from schurquot.partitions import Partition, SkewShape, partitions_of
 from schurquot.polynomial import SparsePolynomial
 from schurquot.schur import (
     DegeneratePointError,
     SchurContext,
     default_context,
     horizontal_strips,
+    int_dets,
     reassemble_decomposition,
     schur_bialternant,
     schur_confluent,
@@ -73,6 +75,7 @@ def test_eval_staircase_is_pair_product():
         for j in range(i + 1, 4):
             expected *= point[i] + point[j]
     assert ctx.eval_schur(staircase(4), point) == expected == 648
+    assert ctx.eval_schur(staircase(0), ()) == 1  # the empty product
 
 
 def test_eval_matches_expanded_polynomial():
@@ -108,6 +111,58 @@ def test_confluent_handles_ties_exactly():
     poly = schur_poly(lam, 4)
     for point in [(1, 1, 2, 3), (2, 2, 2, 5), (1, 1, 1, 1)]:
         assert schur_confluent(lam, point) == poly.evaluate(point)
+    # Every shape with at most 6 boxes in at most 5 variables, at rational
+    # points with ties, zeros and negative coordinates.
+    rng = random.Random(3)
+    values = [Fraction(v) for v in (0, 1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-5, 3)]
+    checked = 0
+    for size in range(7):
+        for parts in partitions_of(size):
+            lam = Partition(parts)
+            for nvars in range(1, 6):
+                poly = schur_poly(lam, nvars)
+                points = [[rng.choice(values)] * nvars]
+                for _ in range(3):
+                    point = [rng.choice(values) for _ in range(nvars)]
+                    point[rng.randrange(nvars)] = point[0]
+                    points.append(point)
+                    points.append([rng.choice(values) for _ in range(nvars)])
+                for point in points:
+                    assert schur_confluent(lam, point) == poly.evaluate(point), (lam, point)
+                    checked += 1
+    assert checked > 1000
+
+
+def _permutation_det(m):
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def test_int_dets_matches_permutation_expansion():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for extra in (0, 1):
+            for trial in range(24):
+                m = [[rng.randint(-4, 4) for _ in range(n + extra)] for _ in range(n)]
+                if trial % 4 == 1:
+                    m[0][0] = 0  # zero leading pivot
+                elif trial % 4 == 2:
+                    m[-1] = list(m[0])  # repeated row (singular when n > 1)
+                elif trial % 4 == 3:
+                    for row in m:
+                        row[0] = 0  # zero first column
+                expected = [
+                    _permutation_det([row[: n - 1] + [row[c]] for row in m])
+                    for c in range(n - 1, n + extra)
+                ]
+                assert int_dets([list(row) for row in m]) == expected, m
 
 
 def test_confluent_agrees_on_distinct_points():

@@ -30,6 +30,8 @@ def test_circle_weights_validation():
         CircleWeights((2, -4))  # gcd 2
     with pytest.raises(ValueError):
         CircleWeights(())
+    with pytest.raises(ValueError):
+        CircleWeights.from_abs([3])
 
 
 def test_circle_weights_canonical_form():
