@@ -96,9 +96,18 @@ def emit(report: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
+# Partition options, as (attribute, flag); each is at most MAX_CELLS_DEFAULT boxes.
+PARTITION_OPTIONS = (
+    ("outer", "--outer"),
+    ("inner", "--inner"),
+    ("rho", "--rho"),
+    ("lam", "--lambda"),
+)
+
 # Every size parameter, as (attribute, flag, lowest, highest).
 SIZE_LIMITS = (
     ("nvars", "--nvars", 1, MAX_NVARS_DEFAULT),
+    ("nlabels", "--nlabels", 1, MAX_NVARS_DEFAULT),
     ("max_cells", "--max-cells", 1, MAX_CELLS_DEFAULT),
     ("max_boxes", "--max-boxes", 1, MAX_CELLS_DEFAULT),
     ("max_nvars", "--max-nvars", 2, MAX_NVARS_DEFAULT),
@@ -113,6 +122,10 @@ def _check_limits(args) -> None:
         value = getattr(args, attr, None)
         if value is not None and not (lowest <= value <= highest):
             raise UsageError(f"{flag} must be in {lowest}..{highest}")
+    for attr, flag in PARTITION_OPTIONS:
+        text = getattr(args, attr, None)
+        if text is not None and parse_partition(text).size > MAX_CELLS_DEFAULT:
+            raise UsageError(f"{flag} must have at most {MAX_CELLS_DEFAULT} boxes")
     if getattr(args, "dim", 0) % 2:
         raise UsageError("--dim must be even")
     point = getattr(args, "point", None)
@@ -321,6 +334,7 @@ def cmd_inject_verify(args) -> int:
                     "first": {"s": s1.to_dict(), "t": t1.to_dict()},
                     "second": {"s": s2.to_dict(), "t": t2.to_dict()},
                 }
+        entry["stats"] = {"branched": report.branched}
         results.append(entry)
     lines = []
     for entry in results:

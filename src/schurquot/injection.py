@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from operator import itemgetter, le, lt
+from typing import Callable, Iterator
 
 from .partitions import Partition, SkewShape, partition_contains
-from .tableaux import SkewTableau, enumerate_ssyt, monomial, validate
+from .tableaux import SkewTableau, enumerate_ssyt, monomial
 
 Cell = tuple[int, int]
+
+# Orientation codes of `OneBoxSetting.neighbors` seen from the other cell.
+_FLIP = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,33 @@ class OneBoxSetting:
                 if k is not None:
                     nb.append((k, code))
             self.neighbors.append(nb)
-        # Row-major subset maps for building the outputs.
+        # The same neighbours seen from the other cell: (C, code of B from C).
+        self.inward = [[(c, _FLIP[code]) for c, code in nb] for nb in self.neighbors]
+        # Row-major subset maps for building the outputs, and getters of the
+        # right- and below-neighbour pairs inside each output shape.
+        self.virtual_idx = frozenset(self.index[c] for c in self.virtual)
         self.out_s_idx = tuple(k for k, c in enumerate(self.cells) if c not in self.virtual)
         self.out_t_idx = tuple(k for k, c in enumerate(self.cells) if c != self.root)
+        self.out_s_entries = _getter(self.out_s_idx)
+        self.out_t_entries = _getter(self.out_t_idx)
+        self.out_s_right, self.out_s_below = self._adjacent_pairs(self.out_s_idx)
+        self.out_t_right, self.out_t_below = self._adjacent_pairs(self.out_t_idx)
+
+    def _adjacent_pairs(self, idxs: tuple[int, ...]):
+        """Getter pairs (see `_holds`) of the right and of the below
+        neighbours inside the cells `idxs`."""
+        inside = set(idxs)
+
+        def side_pairs(side: int):
+            pairs = [
+                (b, c)
+                for b in idxs
+                for c, code in self.neighbors[b]
+                if code == side and c in inside
+            ]
+            return _getter([b for b, _ in pairs]), _getter([c for _, c in pairs])
+
+        return side_pairs(0), side_pairs(2)
 
     # -- raw-value core ------------------------------------------------
 
@@ -134,31 +163,39 @@ class OneBoxSetting:
     def grow_region(
         self, s_vals: tuple[int, ...], t_vals: tuple, rng: random.Random | None = None
     ) -> tuple[frozenset, list[tuple[int, int]], bool]:
-        """Spanning-tree closure; returns (region indices, steps, branched)."""
+        """Spanning-tree closure; returns (region indices, steps, branched).
+
+        Each step absorbs the smallest violating (B, C) pair, or with `rng`
+        one drawn from the sorted pairs; indices follow the row-major cell
+        order, so index order is cell order.
+        """
         in_u = [False] * len(self.cells)
         in_u[self.root_idx] = True
         region = {self.root_idx}
         steps: list[tuple[int, int]] = []
         branched = False
-        candidates: dict[tuple[int, int], None] = {}
+        candidates: set[tuple[int, int]] = set()
+        violates = self._violates
 
         def absorb(x: int):
             for y, _ in self.neighbors[x]:
-                candidates.pop((x, y), None)
-            for y, code in self.neighbors[x]:
-                # (B=y, C=x); flip the orientation code to view x from y.
-                flipped = {0: 1, 1: 0, 2: 3, 3: 2}[code]
-                if not in_u[y] and self._violates(y, x, flipped, s_vals, t_vals):
-                    candidates[(y, x)] = None
+                candidates.discard((x, y))
+            for y, code in self.inward[x]:
+                if not in_u[y] and violates(y, x, code, s_vals, t_vals):
+                    candidates.add((y, x))
 
         absorb(self.root_idx)
         while candidates:
-            keys = sorted(candidates, key=lambda bc: (self.cells[bc[0]], self.cells[bc[1]]))
-            if len({b for b, _ in keys}) > 1:
-                branched = True
-            b, c = keys[rng.randrange(len(keys))] if rng else keys[0]
+            if not branched:
+                first = next(iter(candidates))[0]
+                branched = any(b != first for b, _ in candidates)
+            if rng is None:
+                b, c = min(candidates)
+            else:
+                keys = sorted(candidates)
+                b, c = keys[rng.randrange(len(keys))]
             steps.append((b, c))
-            del candidates[(b, c)]
+            candidates.discard((b, c))
             in_u[b] = True
             region.add(b)
             absorb(b)
@@ -182,23 +219,38 @@ class OneBoxSetting:
         self, s_vals: tuple[int, ...], t_vals: tuple, region: frozenset
     ) -> tuple[tuple, tuple]:
         """Raw (S', T') entries over the rho/d ambient; T' omits the root."""
-        sp = tuple(
-            s_vals[k] if k in region else t_vals[k] for k in range(len(self.cells))
+        sp = list(t_vals)
+        tp = list(s_vals)
+        for k in region:
+            sp[k] = s_vals[k]
+            tp[k] = t_vals[k]
+        tp[self.root_idx] = None
+        return tuple(sp), tuple(tp)
+
+    def image_valid(self, sp: tuple, tp: tuple, nlabels: int) -> bool:
+        """Whether `swap_values` output is a skew SSYT pair of shapes rho/e, lam/d.
+
+        The checks of `SkewTableau` (labels in 1..nlabels) and of
+        `tableaux.validate` (rows weak, columns strict), on raw values.
+        """
+        s_out, t_out = self.out_s_entries(sp), self.out_t_entries(tp)
+        return (
+            1 <= min(s_out) and max(s_out) <= nlabels
+            and 1 <= min(t_out) and max(t_out) <= nlabels
+            and _holds(le, sp, self.out_s_right)
+            and _holds(lt, sp, self.out_s_below)
+            and _holds(le, tp, self.out_t_right)
+            and _holds(lt, tp, self.out_t_below)
         )
-        tp = tuple(
-            (t_vals[k] if k in region else s_vals[k]) if k != self.root_idx else None
-            for k in range(len(self.cells))
-        )
-        return sp, tp
 
     def output_pair(
         self, s_vals: tuple[int, ...], t_vals: tuple, region: frozenset, nlabels: int
     ) -> TableauPair:
-        if any(self.index[c] in region for c in self.virtual):
+        if self.virtual_idx & region:
             raise ValueError("swap region escaped rho/e; output shapes undefined")
         sp, tp = self.swap_values(s_vals, t_vals, region)
-        s_out = SkewTableau(self.out_s_shape, tuple(sp[k] for k in self.out_s_idx), nlabels)
-        t_out = SkewTableau(self.out_t_shape, tuple(tp[k] for k in self.out_t_idx), nlabels)
+        s_out = SkewTableau(self.out_s_shape, self.out_s_entries(sp), nlabels)
+        t_out = SkewTableau(self.out_t_shape, self.out_t_entries(tp), nlabels)
         return TableauPair(s_out, t_out)
 
     def region_from_indices(self, idxs: frozenset) -> SwapRegion:
@@ -209,6 +261,20 @@ class OneBoxSetting:
         if missing:
             raise ValueError(f"region cells {missing} outside {self.s_shape}")
         return frozenset(self.index[c] for c in u.cells)
+
+
+def _getter(idxs) -> Callable[[tuple], tuple]:
+    """vals -> tuple(vals[k] for k in idxs), through `itemgetter`."""
+    idxs = tuple(idxs)
+    if len(idxs) == 1:
+        return lambda vals, k=idxs[0]: (vals[k],)
+    return itemgetter(*idxs) if idxs else lambda vals: ()
+
+
+def _holds(op, vals: tuple, getters) -> bool:
+    """op(vals[b], vals[c]) for every pair (b, c) the two getters pick out."""
+    first, second = getters
+    return all(map(op, first(vals), second(vals)))
 
 
 def _one_box_row(rho: Partition, lam: Partition) -> int:
@@ -223,9 +289,16 @@ def _setting_for(s: SkewTableau, t: SkewTableau) -> OneBoxSetting:
     for shape in (s.shape, t.shape):
         if shape.inner.nrows > 1:
             raise ValueError("inner shapes must be first-row strips")
-    return OneBoxSetting(
+    return _shared_setting(
         s.shape.outer, t.shape.outer, s.shape.inner.part(1), t.shape.inner.part(1)
     )
+
+
+@lru_cache(maxsize=64)
+def _shared_setting(rho: Partition, lam: Partition, d: int, e: int) -> OneBoxSetting:
+    # The per-pair maps (phi, greedy_phi, ...) share one read-only geometry
+    # per setting instead of rebuilding it on every call.
+    return OneBoxSetting(rho, lam, d, e)
 
 
 def swap_pair(s: SkewTableau, t: SkewTableau, u: SwapRegion) -> tuple[dict, dict]:
@@ -350,6 +423,7 @@ class InjectivityReport:
     seed_stable: bool = True
     greedy_injective: bool = True
     greedy_collision: tuple | None = None
+    branched: int = 0
 
     @property
     def ok(self) -> bool:
@@ -375,56 +449,76 @@ def verify_injectivity(
     Checks injectivity, membership of images in the (e,d) pair set,
     monomial preservation and U(S,T) ⊆ U* ⊆ rho/e.  Seed stability of the
     spanning-tree region is re-run with the given seeds whenever a
-    construction actually had a choice to make.
+    construction actually had a choice to make (`branched` counts those
+    pairs).  An image outside the (e,d) pair set counts as a failure of
+    injectivity; the first colliding pairs are reported.
+
+    Every check runs on the raw entry tuples of `swap_values`; `phi` and
+    `greedy_phi` build the same images as tableau objects.
     """
     if d >= e:
         raise ValueError("need d < e")
     setting = OneBoxSetting(rho, lam, d, e)
     report = InjectivityReport()
+    s_list = list(enumerate_ssyt(setting.s_shape, nlabels))
+    t_list = list(enumerate_ssyt(setting.t_shape, nlabels))
+    t_vals_list = [setting.t_values(t.entries) for t in t_list]
+    # Label counts as one integer, the count of label v being its digit v in
+    # base `base` (more than the cells of a pair); digit 0 counts entries 0.
+    # Summed, these are the counts of a pair, so S and T are counted once.
+    base = 2 * len(setting.cells) + 1
+    count = [base**v for v in range(nlabels + 1)].__getitem__
+    s_counts = [sum(map(count, s.entries)) for s in s_list]
+    t_counts = [sum(map(count, t.entries)) for t in t_list]
+    out_s_entries, out_t_entries = setting.out_s_entries, setting.out_t_entries
+    virtual_idx = setting.virtual_idx
+    grow, greedy = setting.grow_region, setting.greedy_indices
+    swap, image_valid = setting.swap_values, setting.image_valid
+    # Images map to the first pair id si * len(t_list) + ti that gave them.
     images: dict = {}
     greedy_images: dict = {}
-    s_list = list(enumerate_ssyt(setting.s_shape, nlabels))
-    t_list = [
-        (t, setting.t_values(t.entries))
-        for t in enumerate_ssyt(setting.t_shape, nlabels)
-    ]
-    virtual_idx = {setting.index[c] for c in setting.virtual}
-    for s in s_list:
+    collision = greedy_collision = None
+    for si, s in enumerate(s_list):
         s_vals = s.entries
-        for t, t_vals in t_list:
-            report.domain_size += 1
-            idxs, steps, branched = setting.grow_region(s_vals, t_vals)
-            if virtual_idx & idxs or not idxs <= setting.greedy_indices(s_vals, t_vals):
+        s_count = s_counts[si]
+        for ti, t_vals in enumerate(t_vals_list):
+            pair_id = si * len(t_list) + ti
+            idxs, _, branched = grow(s_vals, t_vals)
+            gidxs = greedy(s_vals, t_vals)
+            if virtual_idx & idxs or not idxs <= gidxs:
                 report.region_contained = False
-            if branched and seeds:
+            if branched:
+                report.branched += 1
                 for seed in seeds:
-                    alt, _, _ = setting.grow_region(s_vals, t_vals, random.Random(seed))
+                    alt, _, _ = grow(s_vals, t_vals, random.Random(seed))
                     if alt != idxs:
                         report.seed_stable = False
                         break
-            sp, tp = setting.swap_values(s_vals, t_vals, idxs)
-            key = (sp, tp)
-            if key in images:
+            sp, tp = swap(s_vals, t_vals, idxs)
+            first = images.setdefault(sp + tp, pair_id)
+            if first != pair_id:
                 report.injective = False
-                report.collision = (images[key], (s, t))
-            else:
-                images[key] = (s, t)
-            pair = setting.output_pair(s_vals, t_vals, idxs, nlabels)
-            if not (validate(pair.s) and validate(pair.t)):
+                collision = collision or (first, pair_id)
+            if not image_valid(sp, tp, nlabels):
                 report.injective = False
-            if pair.monomial() != tuple(
-                a + b for a, b in zip(monomial(s), monomial(t))
-            ):
+            out_count = sum(map(count, out_s_entries(sp))) + sum(map(count, out_t_entries(tp)))
+            if out_count != s_count + t_counts[ti]:
                 report.monomials_preserved = False
             if compare_greedy:
-                gidxs = setting.greedy_indices(s_vals, t_vals)
-                gkey = setting.swap_values(s_vals, t_vals, gidxs)
-                if gkey in greedy_images:
+                gsp, gtp = swap(s_vals, t_vals, gidxs)
+                first = greedy_images.setdefault(gsp + gtp, pair_id)
+                if first != pair_id:
                     report.greedy_injective = False
-                    if report.greedy_collision is None:
-                        report.greedy_collision = (greedy_images[gkey], (s, t))
-                else:
-                    greedy_images[gkey] = (s, t)
+                    greedy_collision = greedy_collision or (first, pair_id)
+    report.domain_size = len(s_list) * len(t_list)
+
+    def tableau_pairs(pair_ids):
+        return pair_ids and tuple(
+            (s_list[k // len(t_list)], t_list[k % len(t_list)]) for k in pair_ids
+        )
+
+    report.collision = tableau_pairs(collision)
+    report.greedy_collision = tableau_pairs(greedy_collision)
     return report
 
 

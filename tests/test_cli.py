@@ -146,6 +146,7 @@ def test_inject_verify_single_instance(capsys):
     data = json.loads(out)
     assert data["all_ok"] is True
     assert data["instances"][0]["injective"] is True
+    assert data["instances"][0]["stats"] == {"branched": 0}
 
 
 def test_inject_verify_sweep(capsys):
@@ -208,12 +209,24 @@ def test_nvars_limit_enforced(capsys):
         ("inject", "verify", "--seeds", "33"),
         ("schur", "eval", "--outer", "1", "--point", ""),
         ("schur", "eval", "--outer", "1", "--point", "1,2,3,4,5,6,7,8,9"),
+        ("inject", "verify", "--rho", "5,4", "--lambda", "4,4", "--nlabels", "12",
+         "--d", "1", "--e", "2"),
+        ("schur", "expand", "--outer", "40", "--nvars", "8"),
+        ("inject", "run", "--rho", "2,1", "--lambda", "1,1", "--nlabels", "0",
+         "--d", "0", "--e", "1"),
+        ("deriv", "check", "--rho", "7,6", "--lambda", "1", "--nvars", "2"),
     ],
 )
 def test_size_limits_enforced(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_partition_size_limit_names_the_option(capsys):
+    code, _, err = run(capsys, "deriv", "check", "--rho", "1", "--lambda", "7,6", "--nvars", "2")
+    assert code == 2
+    assert "--lambda must have at most 12 boxes" in err
 
 
 def test_jobs_option_is_rejected(capsys):

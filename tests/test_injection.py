@@ -1,9 +1,11 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from schurquot.injection import (
+    InjectivityReport,
+    OneBoxSetting,
     SwapRegion,
     enumerate_pairs,
     greedy_phi,
@@ -145,7 +147,178 @@ def test_verify_injectivity_flags_greedy_collision():
     )
     assert report.ok
     assert not report.greedy_injective
-    assert report.greedy_collision is not None
+    assert report.collision is None
+    (s1, t1), (s2, t2) = report.greedy_collision
+    assert (s1.entries, t1.entries) == ((1, 1, 1, 1, 1, 2, 2, 3), (1, 2, 1, 1, 2, 4))
+    assert (s2.entries, t2.entries) == ((1, 1, 1, 1, 1, 2, 2, 4), (1, 2, 1, 1, 2, 3))
+
+
+def oracle_report(rho, lam, nlabels, d, e, seeds=()):
+    """`verify_injectivity` through tableau objects: phi, validate, monomial.
+
+    Returns the report and the image set {(S' entries, T' entries)}.
+    """
+    report = InjectivityReport()
+    out_shape = SkewShape.row_strip(rho, e)
+    images = {}
+    for pair in enumerate_pairs(rho, lam, nlabels, d, e):
+        report.domain_size += 1
+        trace = spanning_tree_region(pair.s, pair.t)
+        u = trace.final_region.cells
+        if not (u <= greedy_region(pair.s, pair.t).cells and all(c in out_shape for c in u)):
+            report.region_contained = False
+        if trace.branched:
+            report.branched += 1
+            if any(
+                spanning_tree_region(pair.s, pair.t, seed).final_region.cells != u
+                for seed in seeds
+            ):
+                report.seed_stable = False
+        out = phi(pair.s, pair.t)
+        if not (validate(out.s) and validate(out.t)):
+            report.injective = False
+        if out.monomial() != pair.monomial():
+            report.monomials_preserved = False
+        key = (out.s.entries, out.t.entries)
+        if key in images:
+            report.injective = False
+            if report.collision is None:
+                report.collision = (images[key], (pair.s, pair.t))
+        else:
+            images[key] = (pair.s, pair.t)
+    return report, set(images)
+
+
+def test_raw_verifier_matches_object_oracle(monkeypatch):
+    # The verifier's image keys are the swap_values outputs of phi's regions.
+    keys = []
+    swap_values = OneBoxSetting.swap_values
+
+    def recording(self, s_vals, t_vals, region):
+        sp, tp = swap_values(self, s_vals, t_vals, region)
+        keys.append((self.out_s_entries(sp), self.out_t_entries(tp)))
+        return sp, tp
+
+    monkeypatch.setattr(OneBoxSetting, "swap_values", recording)
+    branched = 0
+    for rho, lam, nlabels, d, e in one_box_instances(5, 3):
+        keys.clear()
+        report = verify_injectivity(rho, lam, nlabels, d, e, seeds=(0, 1, 2))
+        raw_images, calls = set(keys), len(keys)
+        expected, images = oracle_report(rho, lam, nlabels, d, e, seeds=(0, 1, 2))
+        assert report == expected, (rho, lam, nlabels, d, e)
+        assert raw_images == images and calls == report.domain_size
+        branched += report.branched
+    assert branched > 0  # the seed-stability check did run
+
+
+def test_image_valid_matches_tableau_checks():
+    # Every region inside rho/e that holds the root, so invalid images too.
+    invalid = 0
+    for rho, lam, nlabels, d, e in one_box_instances(4, 3):
+        setting = OneBoxSetting(rho, lam, d, e)
+        others = [k for k in setting.out_s_idx if k != setting.root_idx]
+        regions = [
+            frozenset({setting.root_idx, *chosen})
+            for size in range(len(others) + 1)
+            for chosen in combinations(others, size)
+        ]
+        for pair in enumerate_pairs(rho, lam, nlabels, d, e):
+            s_vals, t_vals = pair.s.entries, setting.t_values(pair.t.entries)
+            for region in regions:
+                out = setting.output_pair(s_vals, t_vals, region, nlabels)
+                expected = validate(out.s) and validate(out.t)
+                sp, tp = setting.swap_values(s_vals, t_vals, region)
+                assert setting.image_valid(sp, tp, nlabels) == expected
+                invalid += not expected
+    assert invalid > 0
+
+
+def test_spanning_tree_steps_follow_cell_order():
+    # One pair whose growth has a choice: (B, C) pairs go in row-major
+    # order, and a seeded growth may take them in another order.
+    s = make((2, 2), 0, [[1, 1], [2, 2]], 3)
+    t = make((2, 1), 1, [[2], [3]], 3)
+    trace = spanning_tree_region(s, t)
+    assert trace.branched
+    assert trace.steps == (((1, 2), (2, 2)), ((2, 1), (2, 2)))
+    seeded = spanning_tree_region(s, t, choice_seed=0)
+    assert seeded.steps == (((2, 1), (2, 2)), ((1, 2), (2, 2)))
+    assert seeded.final_region == trace.final_region
+
+
+def root_only(self, s_vals, t_vals, rng=None):
+    return frozenset({self.root_idx}), [], False
+
+
+def greedy_grown(self, s_vals, t_vals, rng=None):
+    return self.greedy_indices(s_vals, t_vals), [], False
+
+
+def test_verifier_flags_invalid_images(monkeypatch):
+    rho, lam = Partition((3,)), Partition((2,))
+    assert verify_injectivity(rho, lam, 2, 0, 1).ok
+    monkeypatch.setattr(OneBoxSetting, "grow_region", root_only)
+    report = verify_injectivity(rho, lam, 2, 0, 1)
+    assert not report.injective and report.collision is None
+    assert report.monomials_preserved and report.region_contained
+
+
+def test_verifier_reports_first_collision(monkeypatch):
+    # The greedy map has five collisions on this instance.
+    rho, lam, nlabels, d, e = Partition((3,)), Partition((2,)), 3, 0, 1
+    first = None
+    seen = {}
+    for pair in enumerate_pairs(rho, lam, nlabels, d, e):
+        out = greedy_phi(pair.s, pair.t)
+        key = (out.s.entries, out.t.entries)
+        if key in seen and first is None:
+            first = (seen[key], (pair.s, pair.t))
+        seen.setdefault(key, (pair.s, pair.t))
+    monkeypatch.setattr(OneBoxSetting, "grow_region", greedy_grown)
+    report = verify_injectivity(rho, lam, nlabels, d, e, compare_greedy=True)
+    assert not report.injective and not report.greedy_injective
+    assert report.collision == report.greedy_collision == first
+
+
+def test_verifier_flags_escaped_region(monkeypatch):
+    grow_region = OneBoxSetting.grow_region
+
+    def escaping(self, s_vals, t_vals, rng=None):
+        region, steps, branched = grow_region(self, s_vals, t_vals, rng)
+        return region | self.virtual_idx, steps, branched
+
+    monkeypatch.setattr(OneBoxSetting, "grow_region", escaping)
+    report = verify_injectivity(Partition((3, 1)), Partition((2, 1)), 3, 0, 2)
+    assert not report.region_contained
+    assert not report.injective  # T' shows a virtual 0: not a tableau
+
+
+def test_verifier_flags_seed_dependence(monkeypatch):
+    grow_region = OneBoxSetting.grow_region
+
+    def seed_dependent(self, s_vals, t_vals, rng=None):
+        region, steps, _ = grow_region(self, s_vals, t_vals, rng)
+        return (region if rng is None else frozenset({self.root_idx})), steps, True
+
+    monkeypatch.setattr(OneBoxSetting, "grow_region", seed_dependent)
+    rho, lam, nlabels, d, e = CE_S1.shape.outer, CE_T1.shape.outer, 3, 1, 2
+    report = verify_injectivity(rho, lam, nlabels, d, e, seeds=(0,))
+    assert report.branched == report.domain_size
+    assert not report.seed_stable
+    assert verify_injectivity(rho, lam, nlabels, d, e).seed_stable  # no seeds, no rerun
+
+
+def test_verifier_flags_lost_labels(monkeypatch):
+    swap_values = OneBoxSetting.swap_values
+
+    def ignore_region_on_t(self, s_vals, t_vals, region):
+        sp, _ = swap_values(self, s_vals, t_vals, region)
+        return sp, swap_values(self, s_vals, t_vals, frozenset({self.root_idx}))[1]
+
+    monkeypatch.setattr(OneBoxSetting, "swap_values", ignore_region_on_t)
+    report = verify_injectivity(FORMATION_S.shape.outer, FORMATION_T.shape.outer, 3, 2, 3)
+    assert not report.monomials_preserved
 
 
 def test_phi_requires_d_less_than_e():
