@@ -55,9 +55,11 @@ from .schur import (
 from .sympquot import (
     CircleWeights,
     Gamma0Value,
+    LevelSetStats,
     SU2Rep,
     SearchReport,
     coincidence_search,
+    gamma0_level_set,
     gamma0_s1,
     gamma0_su2,
     s1_compare,

@@ -14,9 +14,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .derivative import derivative_numerator, numerator_for_variable, verify_quotient_rule
 from .injection import (
+    OneBoxSetting,
     enumerate_pairs,
     greedy_phi,
     one_box_instances,
@@ -26,7 +28,7 @@ from .injection import (
 )
 from .partitions import Partition, SkewShape, partition_contains
 from .polynomial import SparsePolynomial
-from .schur import default_context, skew_decomposition
+from .schur import default_context, skew_decomposition, ssyt_count
 from .sympquot import (
     CircleWeights,
     SU2Rep,
@@ -44,6 +46,8 @@ MAX_CELLS_DEFAULT = 12
 MAX_NVARS_DEFAULT = 8
 MAX_SEEDS = 32
 MAX_SEARCH_DIM = 10
+# Input pairs of one `inject` instance; the (5,4)/(4,4) counterexample has 735,000.
+MAX_PAIRS = 1_000_000
 
 
 class UsageError(Exception):
@@ -255,18 +259,28 @@ def _tableau_payload(t) -> dict:
     return t.to_dict()
 
 
+def _pair_count(rho: Partition, lam: Partition, nlabels: int, d: int, e: int) -> int:
+    """The number of input pairs of one instance, counted before enumerating."""
+    try:
+        setting = OneBoxSetting(rho, lam, d, e)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if d >= e:
+        raise UsageError(f"the swap maps need --d < --e, got {d} and {e}")
+    count = ssyt_count(setting.s_shape, nlabels) * ssyt_count(setting.t_shape, nlabels)
+    if count > MAX_PAIRS:
+        raise UsageError(f"{count} input pairs; at most {MAX_PAIRS} are allowed")
+    return count
+
+
 def cmd_inject_run(args) -> int:
     rho = parse_partition(args.rho)
     lam = parse_partition(args.lam)
-    pairs = enumerate_pairs(rho, lam, args.nlabels, args.d, args.e)
     index = args.index
-    pair = None
-    for k, candidate in enumerate(pairs):
-        if k == index:
-            pair = candidate
-            break
-    if pair is None:
-        raise UsageError(f"--index {index} out of range for this pair set")
+    count = _pair_count(rho, lam, args.nlabels, args.d, args.e)
+    if not 0 <= index < count:
+        raise UsageError(f"--index must be in 0..{count - 1} for this pair set")
+    pair = next(islice(enumerate_pairs(rho, lam, args.nlabels, args.d, args.e), index, None))
     trace = spanning_tree_region(pair.s, pair.t, choice_seed=args.seed)
     out = phi(pair.s, pair.t)
     payload = {
@@ -305,6 +319,7 @@ def cmd_inject_verify(args) -> int:
         instances = [
             (parse_partition(args.rho), parse_partition(args.lam), args.nlabels, args.d, args.e)
         ]
+        _pair_count(*instances[0])
     else:
         instances = list(one_box_instances(args.max_cells, args.max_labels))
     all_ok = True

@@ -46,6 +46,22 @@ def weyl_dimension(lam: Partition, nvars: int) -> int:
     return num // den
 
 
+def ssyt_count(shape: SkewShape, nlabels: int) -> int:
+    """Number of SSYTs of a skew shape with labels 1..nlabels, not enumerated.
+
+    Jacobi-Trudi at 1^N: s_{lam/mu}(1^N) = det h_{lam_i - mu_j - i + j}(1^N),
+    with h_k(1^N) = C(N + k - 1, k).
+    """
+
+    def h(k: int) -> int:
+        return math.comb(nlabels + k - 1, k) if k > 0 else int(k == 0)
+
+    outer, inner = shape.outer, shape.inner
+    rows = range(1, outer.nrows + 1)
+    [count] = int_dets([[h(outer.part(i) - inner.part(j) - i + j) for j in rows] for i in rows])
+    return count
+
+
 class SchurContext:
     """Memo cache for skew Schur polynomials."""
 

@@ -11,7 +11,7 @@ families relies on strict monotonicity in the weights for pruning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
@@ -256,12 +256,112 @@ def su2_reps_for_dimension(m: int) -> list[SU2Rep]:
 
 
 @dataclass
+class LevelSetStats:
+    """The work of one `gamma0_level_set` call."""
+
+    cap: int = 0
+    evaluations: int = 0
+    pruned_below: int = 0
+    pruned_above: int = 0
+
+
+def gamma0_level_set(
+    n: int, value: Fraction, stats: LevelSetStats | None = None
+) -> list[tuple[int, ...]]:
+    """Every sorted vector of n positive absolute weights with γ₀ = value.
+
+    Vectors with gcd > 1 are included; γ₀ is the circle coefficient of
+    any signed vector with these absolute weights.  Solutions come in
+    lexicographic order.  `stats`, if given, receives the cap, the number
+    of γ₀ evaluations and the prefixes cut on either side.
+    """
+    if n < 2:
+        raise ValueError("need at least two weights")
+    value = Fraction(value)
+    if value <= 0:
+        raise ValueError("γ₀ is positive")
+    if stats is None:
+        stats = LevelSetStats()
+    p, q = value.numerator, value.denominator
+    # Two-largest-weights bound: γ₀ <= 1/(α₍ₙ₋₁₎+α₍ₙ₎), so every solution
+    # has α₍ₙ₋₁₎+α₍ₙ₎ <= cap, and every weight but the last is <= cap // 2.
+    cap = q // p
+    half = cap // 2
+    stats.cap = cap
+    # γ₀ as two confluent alternants over the integers.  Their exponent
+    # lists differ only in one column (2n-3 for the numerator shape, 2n-2
+    # for the staircase), so one elimination yields both; the Vandermonde
+    # factor of the bialternant cancels in the ratio.
+    exps = [2 * (n - 1 - j) for j in range(1, n)] + [2 * n - 3, 2 * n - 2]
+
+    def sign(point: list[int]) -> int:
+        """The sign of γ₀(point) - value."""
+        stats.evaluations += 1
+        num, den = int_dets(confluent_rows(point, exps))
+        if den < 0:
+            num, den = -num, -den
+        diff = num * q - p * den
+        return (diff > 0) - (diff < 0)
+
+    solutions: list[tuple[int, ...]] = []
+
+    def extend(prefix: list[int], last: int) -> None:
+        if len(prefix) == n - 2:
+            walk(prefix, last)
+            return
+        after = n - 1 - len(prefix)  # weights after the next one
+        for v in range(last, half + 1):
+            # Monotonicity: the completion by v's has the largest γ₀ of
+            # all completions, and it falls as v grows.
+            if sign(prefix + [v] * (after + 1)) < 0:
+                stats.pruned_below += 1
+                break
+            # Monotonicity and the cap: every completion is bounded by
+            # middle weights cap // 2 and a last weight cap - v.
+            if sign(prefix + [v] + [half] * (after - 1) + [cap - v]) > 0:
+                stats.pruned_above += 1
+                continue
+            extend(prefix + [v], v)
+
+    def walk(prefix: list[int], v: int) -> None:
+        # Monotonicity: for the last two weights (v, x) the solution x(v),
+        # where it exists, strictly decreases in v, so one pass moving v up
+        # and x down meets every solution.
+        x = cap - v
+        while v <= x:
+            s = sign(prefix + [v, x])
+            if s == 0:
+                solutions.append(tuple(prefix + [v, x]))
+                v += 1
+                x -= 1
+            elif s > 0:
+                v += 1
+                x = min(x, cap - v)
+            else:
+                x -= 1
+
+    extend([], 1)
+    return solutions
+
+
+@dataclass
 class SearchReport:
     dimension: int
     su2_table: list[tuple[SU2Rep, Fraction]]
     matches: list[tuple[CircleWeights, SU2Rep]]
-    examined: int = 0
-    pruned: int = 0
+    # One entry per distinct SU(2) value: the representations sharing it,
+    # the value and the work of its level-set search.
+    stats: list[tuple[list[SU2Rep], Fraction, LevelSetStats]] = field(default_factory=list)
+
+    @property
+    def examined(self) -> int:
+        """γ₀ evaluations over all targets."""
+        return sum(s.evaluations for _, _, s in self.stats)
+
+    @property
+    def pruned(self) -> int:
+        """Prefixes cut on either side, over all targets."""
+        return sum(s.pruned_below + s.pruned_above for _, _, s in self.stats)
 
     def to_dict(self) -> dict:
         return {
@@ -275,6 +375,17 @@ class SearchReport:
             ],
             "examined": self.examined,
             "pruned_count": self.pruned,
+            "stats": [
+                {
+                    "degrees": [list(rep.key) for rep in reps],
+                    "value": str(value),
+                    "cap": s.cap,
+                    "evaluations": s.evaluations,
+                    "pruned_below": s.pruned_below,
+                    "pruned_above": s.pruned_above,
+                }
+                for reps, value, s in self.stats
+            ],
         }
 
 
@@ -286,59 +397,25 @@ def coincidence_search(
     """All circle weight vectors whose coefficient equals some SU(2) value
     of the same quotient dimension.
 
-    Enumerates sorted absolute-weight vectors depth first.  Because the
-    coefficient strictly decreases when any weight grows, a prefix whose
-    most optimistic completion already falls below the smallest SU(2)
-    value prunes its whole subtree.
+    Runs `gamma0_level_set` once per distinct SU(2) value and keeps the
+    solutions with gcd 1, the faithful circle representations.
     """
     if dimension < 2 or dimension % 2:
         raise ValueError("dimension must be an even integer >= 2")
     ctx = ctx or default_context()
     table = [(rep, gamma0_su2(rep, ctx).value) for rep in su2_reps_for_dimension(dimension)]
     report = SearchReport(dimension, table, [])
-    if not table:
-        return report
-    values = {v for _, v in table}
-    vmin = min(values)
     n = dimension // 2 + 1
-    # Hard cap from the two-largest-weights bound.
-    cap = int(1 / vmin)
-
-    p_min, q_min = vmin.numerator, vmin.denominator
-    # Hot loop: the ratio as two confluent alternants over the integers.
-    # Their exponent lists differ only in one column (2n-3 for the numerator
-    # shape, 2n-2 for the staircase), so one elimination yields both; the
-    # Vandermonde factor of the bialternant cancels in the ratio.
-    exps = [2 * (n - 1 - j) for j in range(1, n)] + [2 * n - 3, 2 * n - 2]
-
-    def gamma_raw(point: Sequence[int]) -> tuple[int, int]:
-        num, den = int_dets(confluent_rows(point, exps))
-        if den < 0:
-            num, den = -num, -den
-        return num, den
-
-    def visit(prefix: list[int]):
-        last = prefix[-1] if prefix else 1
-        for v in range(last, cap + 1):
-            candidate = prefix + [v]
-            filled = candidate + [v] * (n - len(candidate))
-            if filled[-1] + filled[-2] > cap:
-                break
-            num, den = gamma_raw(filled)
-            # Most optimistic completion already below every SU(2) value.
-            if num * q_min < p_min * den:
-                report.pruned += 1
-                break
-            if len(candidate) == n:
-                report.examined += 1
-                if gcd(*candidate) == 1:
-                    for rep, val in table:
-                        if num * val.denominator == val.numerator * den:
-                            report.matches.append((CircleWeights.from_abs(candidate), rep))
-            else:
-                visit(candidate)
-
-    visit([])
+    targets: dict[Fraction, list[SU2Rep]] = {}
+    for rep, val in table:
+        targets.setdefault(val, []).append(rep)
+    for val, reps in targets.items():
+        stats = LevelSetStats()
+        for alphas in gamma0_level_set(n, val, stats):
+            if gcd(*alphas) == 1:
+                w = CircleWeights.from_abs(alphas)
+                report.matches.extend((w, rep) for rep in reps)
+        report.stats.append((reps, val, stats))
     report.matches.sort(key=lambda m: (m[0].abs_weights, m[1].key))
     if checkpoint:
         with open(checkpoint, "w") as fh:

@@ -215,12 +215,41 @@ def test_nvars_limit_enforced(capsys):
         ("inject", "run", "--rho", "2,1", "--lambda", "1,1", "--nlabels", "0",
          "--d", "0", "--e", "1"),
         ("deriv", "check", "--rho", "7,6", "--lambda", "1", "--nvars", "2"),
+        ("inject", "verify", "--rho", "6,6", "--lambda", "6,5", "--nlabels", "8",
+         "--d", "0", "--e", "1"),
+        ("inject", "run", "--rho", "6,6", "--lambda", "6,5", "--nlabels", "8",
+         "--d", "0", "--e", "1"),
+        ("inject", "run", "--rho", "5,4", "--lambda", "4,4", "--nlabels", "5",
+         "--d", "1", "--e", "2", "--index", "1000000000"),
+        ("inject", "run", "--rho", "5,4", "--lambda", "4,4", "--nlabels", "5",
+         "--d", "1", "--e", "2", "--index", "-1"),
+        ("inject", "verify", "--rho", "3,1", "--lambda", "2,1", "--nlabels", "3",
+         "--d", "1", "--e", "1"),
+        ("inject", "run", "--rho", "3,1", "--lambda", "2,2", "--nlabels", "3",
+         "--d", "0", "--e", "1"),
     ],
 )
 def test_size_limits_enforced(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_pair_bound_admits_the_counterexample(capsys):
+    # (5,4)/(4,4) with 5 labels, d=1, e=2 has 735,000 input pairs; the last is index 734999.
+    code, out, _ = run(
+        capsys,
+        "inject", "run", "--rho", "5,4", "--lambda", "4,4", "--nlabels", "5",
+        "--d", "1", "--e", "2", "--index", "734999", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["input"]["t"]["outer"] == [4, 4]
+    code, _, err = run(
+        capsys,
+        "inject", "verify", "--rho", "6,6", "--lambda", "6,5", "--nlabels", "8",
+        "--d", "0", "--e", "1",
+    )
+    assert "48796121088 input pairs" in err
 
 
 def test_partition_size_limit_names_the_option(capsys):

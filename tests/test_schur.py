@@ -17,14 +17,32 @@ from schurquot.schur import (
     schur_confluent,
     schur_poly,
     skew_decomposition,
+    ssyt_count,
     staircase,
     weyl_dimension,
 )
+from schurquot.tableaux import count_ssyt
 
 
 def test_staircase():
     assert staircase(4) == Partition((3, 2, 1, 0))
     assert staircase(1) == Partition((0,))
+
+
+def test_ssyt_count_matches_enumeration():
+    for n in range(6):
+        for outer in partitions_of(n):
+            for m in range(n + 1):
+                for inner in partitions_of(m):
+                    if not Partition(outer).contains(Partition(inner)):
+                        continue
+                    shape = SkewShape(Partition(outer), Partition(inner))
+                    for nlabels in range(4):
+                        assert ssyt_count(shape, nlabels) == count_ssyt(shape, nlabels), (
+                            outer, inner, nlabels,
+                        )
+    assert ssyt_count(SkewShape.straight(Partition((6, 6))), 8) == 226512
+    assert ssyt_count(SkewShape.row_strip(Partition((6, 5)), 1), 8) == 215424
 
 
 def test_weyl_dimension_known_values():

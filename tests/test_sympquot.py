@@ -1,14 +1,23 @@
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+import schurquot
 from schurquot.partitions import Partition
+from schurquot.schur import schur_confluent
 from schurquot.sympquot import (
     CircleWeights,
+    LevelSetStats,
     SU2Rep,
     coincidence_search,
+    gamma0_level_set,
     gamma0_s1,
     gamma0_su2,
     s1_compare,
@@ -187,11 +196,15 @@ def test_search_dimension_4():
     assert report.pruned > 0
 
 
+def test_search_dimension_6():
+    report = coincidence_search(6)
+    matches = {(w.weights, rep.key) for w, rep in report.matches}
+    assert matches == {((1, -1, 1, 1), (1, 1, 1))}
+
+
 def test_search_report_serialization(tmp_path):
     path = tmp_path / "dim4.json"
     report = coincidence_search(4, checkpoint=str(path))
-    import json
-
     data = json.loads(path.read_text())
     assert data["dimension"] == 4
     assert data["matches"] == [{"weights": [1, -2, 2], "degrees": [1, 2]}]
@@ -201,3 +214,88 @@ def test_search_report_serialization(tmp_path):
 def test_search_rejects_odd_dimension():
     with pytest.raises(ValueError):
         coincidence_search(5)
+
+
+def _gamma0_abs(alphas):
+    """γ₀ of any positive weight vector, gcd > 1 included, as in gamma0_s1."""
+    num, den = s1_shapes(len(alphas))
+    return schur_confluent(num, alphas) / schur_confluent(den, alphas)
+
+
+def _sorted_vectors(n, cap):
+    """All sorted positive vectors of length n with α₍ₙ₋₁₎+α₍ₙ₎ <= cap."""
+    return [
+        alphas
+        for alphas in combinations_with_replacement(range(1, cap), n)
+        if alphas[-2] + alphas[-1] <= cap
+    ]
+
+
+def test_level_set_matches_brute_force():
+    rng = random.Random(20261021)
+    for n in (2, 3, 4):
+        drawn = [tuple(sorted(rng.randint(1, 6) for _ in range(n))) for _ in range(5)]
+        drawn += [(2, 2, 4, 6)[:n], (3, 3, 3, 3)[:n], (1, 1, 1, 2)[:n]]
+        for alphas in drawn:
+            value = _gamma0_abs(alphas)
+            cap = value.denominator // value.numerator
+            brute = [a for a in _sorted_vectors(n, cap) if _gamma0_abs(a) == value]
+            stats = LevelSetStats()
+            got = gamma0_level_set(n, value, stats)
+            assert got == brute, (n, alphas)
+            assert alphas in got
+            assert stats.cap == cap and stats.evaluations > 0
+
+
+def test_level_set_prunes_above():
+    # Weights (1,1,1) give 3/8; with cap 2 that is the only completion of
+    # the prefix (1), and it stays above the target.
+    stats = LevelSetStats()
+    assert gamma0_level_set(3, Fraction(1, 3) + Fraction(1, 10**6), stats) == []
+    assert stats.pruned_above == 1 and stats.pruned_below == 0
+
+
+def test_level_set_rejects_bad_input():
+    with pytest.raises(ValueError):
+        gamma0_level_set(1, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        gamma0_level_set(3, Fraction(0))
+
+
+def test_search_stats_per_target():
+    data = coincidence_search(2).to_dict()
+    assert [entry["degrees"] for entry in data["stats"]] == [[[1, 1], [2]], [[3]]]
+    assert [entry["value"] for entry in data["stats"]] == ["1/2", "1/4"]
+    assert [entry["cap"] for entry in data["stats"]] == [2, 4]
+    # (1,3) and (2,2) give 1/4: one walk step each.
+    assert [entry["evaluations"] for entry in data["stats"]] == [1, 2]
+    report = coincidence_search(6)
+    data = report.to_dict()
+    assert data["examined"] == sum(entry["evaluations"] for entry in data["stats"])
+    assert data["pruned_count"] == sum(
+        entry["pruned_below"] + entry["pruned_above"] for entry in data["stats"]
+    )
+    # The work of the three rules, pinned: (value, cap, evaluations, cut below, cut above).
+    assert [
+        (e["value"], e["cap"], e["evaluations"], e["pruned_below"], e["pruned_above"])
+        for e in data["stats"]
+    ] == [
+        ("5/16", 3, 6, 0, 0),
+        ("13/256", 19, 315, 7, 0),
+        ("5/32", 6, 24, 3, 0),
+        ("17/2304", 135, 83309, 43, 0),
+    ]
+
+
+def test_import_leaves_out_process_pools():
+    # A fresh interpreter imports the package from where this run found it.
+    src = os.path.dirname(os.path.dirname(schurquot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, schurquot; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
