@@ -200,6 +200,21 @@ def test_search_dimension_6():
     report = coincidence_search(6)
     matches = {(w.weights, rep.key) for w, rep in report.matches}
     assert matches == {((1, -1, 1, 1), (1, 1, 1))}
+    data = report.to_dict()
+    assert data["examined"] == sum(entry["evaluations"] for entry in data["stats"])
+    assert data["pruned_count"] == sum(
+        entry["pruned_below"] + entry["pruned_above"] for entry in data["stats"]
+    )
+    # The work of the three rules, pinned: (value, cap, evaluations, cut below, cut above).
+    assert [
+        (e["value"], e["cap"], e["evaluations"], e["pruned_below"], e["pruned_above"])
+        for e in data["stats"]
+    ] == [
+        ("5/16", 3, 6, 0, 0),
+        ("13/256", 19, 315, 7, 0),
+        ("5/32", 6, 24, 3, 0),
+        ("17/2304", 135, 83309, 43, 0),
+    ]
 
 
 def test_search_report_serialization(tmp_path):
@@ -269,22 +284,6 @@ def test_search_stats_per_target():
     assert [entry["cap"] for entry in data["stats"]] == [2, 4]
     # (1,3) and (2,2) give 1/4: one walk step each.
     assert [entry["evaluations"] for entry in data["stats"]] == [1, 2]
-    report = coincidence_search(6)
-    data = report.to_dict()
-    assert data["examined"] == sum(entry["evaluations"] for entry in data["stats"])
-    assert data["pruned_count"] == sum(
-        entry["pruned_below"] + entry["pruned_above"] for entry in data["stats"]
-    )
-    # The work of the three rules, pinned: (value, cap, evaluations, cut below, cut above).
-    assert [
-        (e["value"], e["cap"], e["evaluations"], e["pruned_below"], e["pruned_above"])
-        for e in data["stats"]
-    ] == [
-        ("5/16", 3, 6, 0, 0),
-        ("13/256", 19, 315, 7, 0),
-        ("5/32", 6, 24, 3, 0),
-        ("17/2304", 135, 83309, 43, 0),
-    ]
 
 
 def test_import_leaves_out_process_pools():
